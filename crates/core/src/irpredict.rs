@@ -253,32 +253,46 @@ impl IrPredictor {
             }
         }
         let u = unknowns.len();
-        let mut reduced = ppdl_solver::TripletMatrix::new(u, u);
+        // Cell-crossing resistors as (row, col, conductance) stamps in
+        // resistor order; a counting pass sizes the triplet buffer so
+        // it is allocated once.
+        let coarse_edges = || {
+            net.resistors().iter().enumerate().filter_map(|(ri, r)| {
+                let g = conductance[ri] * g_scale[ri];
+                if g <= 0.0 {
+                    return None;
+                }
+                let (Some(ca), Some(cb)) = (cells[r.a.0], cells[r.b.0]) else {
+                    return None;
+                };
+                (ca != cb).then(|| (index[ca], index[cb], g))
+            })
+        };
+        let entries = coarse_edges()
+            .map(|edge| match edge {
+                (usize::MAX, usize::MAX, _) => 0,
+                (_, usize::MAX, _) | (usize::MAX, _, _) => 1,
+                _ => 4,
+            })
+            .sum();
+        let mut reduced = ppdl_solver::TripletMatrix::with_capacity(u, u, entries);
         let mut rhs = vec![0.0; u];
-        for (ri, r) in net.resistors().iter().enumerate() {
-            let g = conductance[ri] * g_scale[ri];
-            if g <= 0.0 {
-                continue;
-            }
-            let (Some(ca), Some(cb)) = (cells[r.a.0], cells[r.b.0]) else {
-                continue;
-            };
-            if ca == cb {
-                continue;
-            }
-            match (index[ca], index[cb]) {
-                (usize::MAX, usize::MAX) => {}
-                (ia, usize::MAX) => reduced.stamp_grounded_conductance(ia, g),
-                (usize::MAX, ib) => reduced.stamp_grounded_conductance(ib, g),
-                (ia, ib) => reduced.stamp_conductance(ia, ib, g),
+        for edge in coarse_edges() {
+            match edge {
+                (usize::MAX, usize::MAX, _) => {}
+                (ia, usize::MAX, g) => reduced.stamp_grounded_conductance(ia, g),
+                (usize::MAX, ib, g) => reduced.stamp_grounded_conductance(ib, g),
+                (ia, ib, g) => reduced.stamp_conductance(ia, ib, g),
             }
         }
+        drop(g_scale);
         for (ui, &c) in unknowns.iter().enumerate() {
             rhs[ui] = coarse_load[c];
         }
         let mut coarse_drop = vec![0.0; m];
         if u > 0 {
             let reduced_csr = reduced.to_csr();
+            drop(reduced);
             let map_err = |e: ppdl_solver::SolverError| CoreError::Analysis(e.into());
             // Prediction-grade tolerance: well below the millivolt
             // resolution the estimate targets, far looser than the
@@ -296,18 +310,35 @@ impl IrPredictor {
         }
 
         // --- Stage 2: interpolate + fixed local KCL sweeps -----------
-        let mut neighbors: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        // Node adjacency as one flat CSR: node `i`'s neighbours are
+        // `adjacency[start[i]..start[i + 1]]`, filled in resistor order.
+        let mut start = vec![0usize; n + 1];
+        for (ri, r) in net.resistors().iter().enumerate() {
+            if conductance[ri] <= 0.0 {
+                continue;
+            }
+            start[r.a.0 + 1] += 1;
+            start[r.b.0 + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut adjacency = vec![(0usize, 0.0); start[n]];
         let mut diag = vec![0.0; n];
         for (ri, r) in net.resistors().iter().enumerate() {
             let g = conductance[ri];
             if g <= 0.0 {
                 continue;
             }
-            neighbors[r.a.0].push((r.b.0, g));
-            neighbors[r.b.0].push((r.a.0, g));
+            for (from, to) in [(r.a.0, r.b.0), (r.b.0, r.a.0)] {
+                adjacency[fill[from]] = (to, g);
+                fill[from] += 1;
+            }
             diag[r.a.0] += g;
             diag[r.b.0] += g;
         }
+        drop(fill);
         let mut loads = vec![0.0; n];
         for l in net.current_loads() {
             loads[l.node.0] += l.amps;
@@ -329,7 +360,7 @@ impl IrPredictor {
                     continue;
                 }
                 let mut acc = loads[i];
-                for &(j, g) in &neighbors[i] {
+                for &(j, g) in &adjacency[start[i]..start[i + 1]] {
                     acc += g * d[j];
                 }
                 d[i] = acc / diag[i];

@@ -10,12 +10,22 @@
 //! `ppdl_solver::set_threads`, the in-process equivalent of the
 //! `PPDL_THREADS` environment variable.
 
+use std::sync::{Mutex, PoisonError};
+
 use ppdl_analysis::StaticAnalysis;
-use ppdl_core::{FeatureExtractor, IrPredictor, PredictorConfig, WidthPredictor};
-use ppdl_netlist::{IbmPgPreset, SyntheticBenchmark};
+use ppdl_core::predict::{self, PredictRequest};
+use ppdl_core::{
+    BackendKind, BackendModel, FeatureExtractor, IrPredictor, Perturbation, PerturbationKind,
+    PredictorConfig, WidthPredictor,
+};
+use ppdl_netlist::{IbmPgPreset, Orientation, SyntheticBenchmark};
 use ppdl_nn::{Activation, Adam, Loss, Matrix, Mlp, MlpBuilder};
 use ppdl_solver::parallel::DEFAULT_PAR_THRESHOLD;
 use ppdl_solver::{set_par_threshold, set_threads};
+
+/// Serialises the tests' changes to the global thread configuration, so
+/// each runs at the threshold it sets.
+static CONFIG: Mutex<()> = Mutex::new(());
 
 fn ibmpg2() -> SyntheticBenchmark {
     SyntheticBenchmark::from_preset(IbmPgPreset::Ibmpg2, 0.01, 3).unwrap()
@@ -25,6 +35,7 @@ fn ibmpg2() -> SyntheticBenchmark {
 /// even this test-sized grid takes the chunked code paths, restoring
 /// the global defaults afterwards.
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let _config = CONFIG.lock().unwrap_or_else(PoisonError::into_inner);
     set_threads(threads);
     set_par_threshold(64);
     let out = f();
@@ -110,7 +121,7 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
         assert_eq!(
             x.to_bits(),
             y.to_bits(),
-            "{what}[{i}] differs between 1 and 4 threads: {x} vs {y}"
+            "{what}[{i}] differs across thread counts: {x} vs {y}"
         );
     }
 }
@@ -172,4 +183,65 @@ fn em_safe_widths_are_bitwise_stable_across_thread_counts() {
     let one = run(1);
     let four = run(4);
     assert_bits_eq(&one, &four, "em_safe_widths");
+}
+
+/// The served query path at the default threshold. The paper's 10×24
+/// MLP infers in 256-row chunks through `par_map_vec`, and every GEMM
+/// output inside a chunk (256×24 elements) is above the threshold, so
+/// this is where parallel regions nest; the tiny-threshold tests above
+/// never reach that nesting with the production sizes.
+#[test]
+fn served_prediction_with_the_paper_model_is_bitwise_stable() {
+    let bench = SyntheticBenchmark::from_preset(IbmPgPreset::Ibmpg2, 0.03, 3).unwrap();
+    let config = PredictorConfig {
+        train: ppdl_nn::TrainConfig {
+            epochs: 1,
+            ..PredictorConfig::default().train
+        },
+        ..PredictorConfig::default()
+    };
+    assert_eq!((config.hidden_layers, config.hidden_width), (10, 24));
+    for orientation in [Orientation::Vertical, Orientation::Horizontal] {
+        let rows = bench
+            .segments()
+            .iter()
+            .filter(|seg| bench.straps()[seg.strap].orientation == orientation)
+            .count();
+        assert!(
+            rows >= 512,
+            "{orientation:?}: {rows} segments do not reach the chunked inference path"
+        );
+    }
+    let (model, _) =
+        BackendModel::train(&bench, &bench.strap_widths(), BackendKind::Mlp, &config).unwrap();
+    let request = PredictRequest {
+        perturbation: Some(Perturbation::new(0.1, PerturbationKind::Both, 5).unwrap()),
+        ..PredictRequest::new("q")
+    };
+    let run = |threads: usize| {
+        let _config = CONFIG.lock().unwrap_or_else(PoisonError::into_inner);
+        set_threads(threads);
+        set_par_threshold(DEFAULT_PAR_THRESHOLD);
+        let out = predict::predict(&model, &bench, &request, 1).unwrap();
+        set_threads(0);
+        out.response
+    };
+    let one = run(1);
+    let inline = ppdl_obs::global().counter("parallel/inline");
+    for threads in [2, 4] {
+        ppdl_obs::set_enabled(true);
+        let before = inline.get();
+        let other = run(threads);
+        ppdl_obs::set_enabled(false);
+        assert!(
+            inline.get() > before,
+            "no region nested at {threads} threads"
+        );
+        assert_bits_eq(&one.widths, &other.widths, "served widths");
+        assert_eq!(
+            one.worst_ir_mv.to_bits(),
+            other.worst_ir_mv.to_bits(),
+            "worst_ir_mv differs between 1 and {threads} threads"
+        );
+    }
 }

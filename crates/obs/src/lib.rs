@@ -316,6 +316,55 @@ pub fn span(name: &str) -> Span {
     }
 }
 
+/// The chain of global spans open on one thread, captured with
+/// [`span_context`] so another thread can open its spans under the same
+/// parent path (see [`SpanContext::enter`]). Empty — and allocation-free
+/// — when collection is disabled.
+#[derive(Debug, Clone, Default)]
+pub struct SpanContext(Vec<String>);
+
+/// Captures the calling thread's open span path. A worker thread that
+/// [enters](SpanContext::enter) the result records its spans as
+/// children of that path: a span `inner` opened on the worker while the
+/// caller has `outer` open records at `outer/inner`.
+#[must_use]
+pub fn span_context() -> SpanContext {
+    if !enabled() {
+        return SpanContext::default();
+    }
+    SpanContext(SPAN_STACK.with(|stack| stack.borrow().clone()))
+}
+
+impl SpanContext {
+    /// Installs this span path on the current thread until the returned
+    /// guard drops, which restores the thread's previous path. A no-op
+    /// for an empty context.
+    #[must_use]
+    pub fn enter(&self) -> SpanContextGuard {
+        if self.0.is_empty() {
+            return SpanContextGuard { saved: None };
+        }
+        let saved =
+            SPAN_STACK.with(|stack| std::mem::replace(&mut *stack.borrow_mut(), self.0.clone()));
+        SpanContextGuard { saved: Some(saved) }
+    }
+}
+
+/// Restores a thread's own span path when dropped; see
+/// [`SpanContext::enter`].
+#[derive(Debug)]
+pub struct SpanContextGuard {
+    saved: Option<Vec<String>>,
+}
+
+impl Drop for SpanContextGuard {
+    fn drop(&mut self) {
+        if let Some(saved) = self.saved.take() {
+            SPAN_STACK.with(|stack| *stack.borrow_mut() = saved);
+        }
+    }
+}
+
 /// Adds `n` to the global counter `name` when collection is enabled.
 pub fn counter_add(name: &str, n: u64) {
     if enabled() {
@@ -551,6 +600,9 @@ fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that toggle process-wide collection.
+    static ENABLED_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn counters_accumulate_and_share() {
         let reg = Registry::new();
@@ -580,6 +632,9 @@ mod tests {
 
     #[test]
     fn span_paths_nest_per_thread() {
+        let _g = ENABLED_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_enabled(true);
         {
             let _outer = span("outer");
@@ -593,7 +648,34 @@ mod tests {
     }
 
     #[test]
+    fn span_context_enter_installs_and_restores_the_path() {
+        let _g = ENABLED_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        set_enabled(true);
+        let ctx = {
+            let _outer = span("ctx_outer");
+            span_context()
+        };
+        {
+            let _own = span("ctx_own");
+            {
+                let _ctx = ctx.enter();
+                let _inner = span("ctx_inner");
+            }
+            let _after = span("ctx_after");
+        }
+        set_enabled(false);
+        assert!(global().span_stats("ctx_outer/ctx_inner").is_some());
+        assert!(global().span_stats("ctx_own/ctx_after").is_some());
+        assert!(span_context().0.is_empty(), "disabled capture is empty");
+    }
+
+    #[test]
     fn disabled_span_records_nothing() {
+        let _g = ENABLED_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_enabled(false);
         let before = global().span_stats("ghost").map(|(c, _)| c).unwrap_or(0);
         {

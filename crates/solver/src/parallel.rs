@@ -1,10 +1,12 @@
 //! Workspace-wide parallel execution layer.
 //!
 //! Every data-parallel hot path in the workspace — CSR SpMV and the
-//! BLAS-1 kernels here in `ppdl-solver`, minibatch forward/backward in
-//! `ppdl-nn`, per-scenario solves in `ppdl-analysis`, per-γ perturbation
-//! sweeps in `ppdl-core` — runs through the primitives in this module,
-//! so one configuration governs the whole stack:
+//! BLAS-1 kernels here in `ppdl-solver`, GEMM row blocks and minibatch
+//! chunks in `ppdl-nn`, per-scenario solves in `ppdl-analysis`, per-γ
+//! sweeps and synthesis candidates in `ppdl-core`, request batches in
+//! `ppdl-service` — runs through the four primitives in this module
+//! ([`par_chunks_mut`], [`par_row_chunks_mut`], [`par_reduce`],
+//! [`par_map_vec`]), so one configuration governs the whole stack:
 //!
 //! * **Thread count** — `PPDL_THREADS` env override (sampled once, at
 //!   the first kernel use — see [`current_threads`]), else the hardware
@@ -13,6 +15,34 @@
 //!   on the sequential code path, so small grids pay no thread-spawn
 //!   overhead ([`set_par_threshold`] tunes it).
 //!
+//! # One level of parallelism under one thread budget
+//!
+//! The four primitives share one private `fork` helper with three
+//! rules:
+//!
+//! 1. **The caller does a share.** The calling thread runs part 0 of a
+//!    region itself, so a region split `n` ways spawns `n - 1` scoped
+//!    threads.
+//! 2. **Nested calls run inline.** A thread-local flag marks workers,
+//!    and the caller while it runs its part. A primitive reached under
+//!    that flag — a GEMM inside a `par_map_vec` chunk, a CG dot product
+//!    inside a per-scenario solve — runs on the current thread.
+//! 3. **One shared budget.** The whole process may have at most
+//!    `current_threads() - 1` spawned workers at once. A region claims
+//!    workers from that atomic budget and a `Drop` guard returns them,
+//!    also when a worker panics. A region that gets no budget — say,
+//!    the second of two connection threads serving requests at once —
+//!    runs inline, so concurrent callers add no threads beyond the
+//!    budget.
+//!
+//! So a region uses at most `current_threads()` threads, and all
+//! regions together at most `current_threads() - 1` threads beyond
+//! their callers. Scoped threads are spawned per region rather than
+//! kept in a persistent pool: a pool that runs closures borrowing the
+//! caller's stack needs lifetime-erasing `unsafe`, which this workspace
+//! forbids, and a region costs only a few spawns once nesting and
+//! oversubscription are gone.
+//!
 //! # Determinism guarantee
 //!
 //! Results are **bit-stable across thread counts**. The rules that make
@@ -20,7 +50,7 @@
 //!
 //! 1. Work decomposition depends only on the input *size* (fixed
 //!    [`REDUCTION_CHUNK`]-element chunks, or per-element independence),
-//!    never on the thread count.
+//!    never on the thread count or on how much budget a region got.
 //! 2. Reductions compute one partial per fixed chunk and fold them on
 //!    the calling thread in ascending chunk order ([`par_reduce`]).
 //! 3. Element-wise kernels write disjoint output ranges whose values do
@@ -30,11 +60,16 @@
 //! what is computed — `PPDL_THREADS=1` and `PPDL_THREADS=64` produce
 //! bitwise-identical solver output and identical trained-model weights.
 //!
-//! The engine is hand-rolled on [`std::thread::scope`] rather than a
-//! `rayon` pool because the build environment vendors no external
-//! crates; the public surface is pool-agnostic so a later PR can swap
-//! the engine without touching callers.
+//! # Telemetry
+//!
+//! With `ppdl_obs` collection on, each region carries its caller's open
+//! span path into its workers (a span opened inside a `par_map_vec`
+//! closure records under the caller's path), and the counters
+//! `parallel/spawned` (workers started) and `parallel/inline` (regions
+//! that would have forked but ran inline, nested or without budget)
+//! show how the budget is spent.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -163,6 +198,130 @@ fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Spawned workers currently claimed, process-wide (rule 3).
+static BUSY_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread runs a part of a region (rule 2).
+    static IN_REGION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a region until dropped, restoring
+/// the previous mark (also on unwind).
+struct RegionMark {
+    was: bool,
+}
+
+impl RegionMark {
+    fn enter() -> Self {
+        Self {
+            was: IN_REGION.with(|flag| flag.replace(true)),
+        }
+    }
+}
+
+impl Drop for RegionMark {
+    fn drop(&mut self) {
+        IN_REGION.with(|flag| flag.set(self.was));
+    }
+}
+
+/// Workers claimed from the process budget; returned on drop, so a
+/// panicking region gives them back too.
+struct Claim {
+    workers: usize,
+}
+
+impl Claim {
+    /// Claims up to `want` workers: none from inside a region, else as
+    /// many as the budget of `current_threads() - 1` has free.
+    fn new(want: usize) -> Self {
+        if want == 0 || IN_REGION.with(Cell::get) {
+            return Self { workers: 0 };
+        }
+        let limit = current_threads().saturating_sub(1);
+        let mut workers = 0;
+        let _ = BUSY_WORKERS.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |busy| {
+            workers = want.min(limit.saturating_sub(busy));
+            (workers > 0).then_some(busy + workers)
+        });
+        Self { workers }
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if self.workers > 0 {
+            BUSY_WORKERS.fetch_sub(self.workers, Ordering::SeqCst);
+        }
+    }
+}
+
+/// The one spawn/join path behind every primitive: claims up to
+/// `max_parts - 1` workers, cuts the work with `split(parts)` for the
+/// granted part count, runs part 0 on the calling thread and the rest
+/// on scoped workers, and returns the results in part order. With no
+/// workers granted, `split(1)` runs inline. A worker panic re-raises
+/// its original payload on the caller.
+fn fork<P, R>(
+    max_parts: usize,
+    split: impl FnOnce(usize) -> Vec<P>,
+    run: impl Fn(P) -> R + Sync,
+) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+{
+    let claim = Claim::new(max_parts.saturating_sub(1));
+    let mut parts = split(claim.workers + 1).into_iter();
+    let _mark = RegionMark::enter();
+    if claim.workers == 0 {
+        ppdl_obs::counter_add("parallel/inline", 1);
+        return parts.map(&run).collect();
+    }
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    ppdl_obs::counter_add("parallel/spawned", parts.len() as u64);
+    let context = ppdl_obs::span_context();
+    thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .map(|part| {
+                let (run, context) = (&run, &context);
+                scope.spawn(move || {
+                    let _mark = RegionMark::enter();
+                    let _spans = context.enter();
+                    run(part)
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(run(first));
+        // Re-raise a worker panic on the calling thread instead of
+        // replacing it with a second panic message
+        // (robustness/unwrap-in-lib).
+        out.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        out
+    })
+}
+
+/// Splits `out` into `parts` contiguous chunks whose lengths are
+/// multiples of `width`, each paired with the index of its first row.
+fn row_chunks<T>(out: &mut [T], width: usize, parts: usize) -> Vec<(usize, &mut [T])> {
+    let mut rest = out;
+    split_ranges(rest.len() / width, parts)
+        .into_iter()
+        .map(|rows| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * width);
+            rest = tail;
+            (rows.start, chunk)
+        })
+        .collect()
+}
+
 /// Runs `f(offset, chunk)` over disjoint contiguous chunks of `out`,
 /// in parallel when `out` is at least [`par_threshold`] elements and
 /// more than one worker thread is configured; otherwise `f(0, out)`
@@ -176,24 +335,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let threads = current_threads();
-    if threads <= 1 || out.len() < par_threshold() {
-        f(0, out);
-        return;
-    }
-    let ranges = split_ranges(out.len(), threads);
-    thread::scope(|scope| {
-        let mut rest = out;
-        let mut consumed = 0;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let offset = consumed;
-            consumed += chunk.len();
-            let f = &f;
-            scope.spawn(move || f(offset, chunk));
-        }
-    });
+    par_row_chunks_mut(out, 1, f);
 }
 
 /// Row-aligned variant of [`par_chunks_mut`]: runs `f(row0, chunk)`
@@ -229,19 +371,11 @@ where
         f(0, out);
         return;
     }
-    let ranges = split_ranges(rows, threads);
-    thread::scope(|scope| {
-        let mut rest = out;
-        let mut row0 = 0;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len() * width);
-            rest = tail;
-            let first_row = row0;
-            row0 += range.len();
-            let f = &f;
-            scope.spawn(move || f(first_row, chunk));
-        }
-    });
+    fork(
+        threads.min(rows),
+        |parts| row_chunks(out, width, parts),
+        |(row0, chunk)| f(row0, chunk),
+    );
 }
 
 /// Deterministic chunked map-reduce over `0..len`.
@@ -266,33 +400,19 @@ where
     let n_chunks = len.div_ceil(REDUCTION_CHUNK);
     let chunk_range = |c: usize| c * REDUCTION_CHUNK..((c + 1) * REDUCTION_CHUNK).min(len);
     let threads = current_threads();
-    let partials: Vec<T> = if threads <= 1 || n_chunks <= 1 || len < par_threshold() {
-        (0..n_chunks).map(|c| map(chunk_range(c))).collect()
-    } else {
-        // Contiguous chunk-index spans per thread keep the concatenated
-        // partials in ascending chunk order.
-        let spans = split_ranges(n_chunks, threads);
-        thread::scope(|scope| {
-            let handles: Vec<_> = spans
-                .into_iter()
-                .map(|span| {
-                    let map = &map;
-                    scope.spawn(move || span.map(|c| map(chunk_range(c))).collect::<Vec<T>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Re-raise a worker panic on the calling thread instead
-                // of replacing it with a second panic message
-                // (robustness/unwrap-in-lib).
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        })
-    };
-    partials.into_iter().reduce(&mut fold)
+    if threads <= 1 || n_chunks <= 1 || len < par_threshold() {
+        return (0..n_chunks).map(|c| map(chunk_range(c))).reduce(&mut fold);
+    }
+    // Contiguous chunk-index spans per part keep the concatenated
+    // partials in ascending chunk order.
+    fork(
+        threads.min(n_chunks),
+        |parts| split_ranges(n_chunks, parts),
+        |span| span.map(|c| map(chunk_range(c))).collect::<Vec<T>>(),
+    )
+    .into_iter()
+    .flatten()
+    .reduce(&mut fold)
 }
 
 /// Index-preserving parallel map: `out[i] = f(i, &items[i])`.
@@ -312,25 +432,14 @@ where
     if threads <= 1 || items.len() < 2 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let spans = split_ranges(items.len(), threads);
-    thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .into_iter()
-            .map(|span| {
-                let f = &f;
-                scope.spawn(move || span.map(|i| f(i, &items[i])).collect::<Vec<R>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Same: propagate the original worker panic payload
-            // (robustness/unwrap-in-lib).
-            .flat_map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
+    fork(
+        threads.min(items.len()),
+        |parts| split_ranges(items.len(), parts),
+        |span| span.map(|i| f(i, &items[i])).collect::<Vec<R>>(),
+    )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
@@ -452,5 +561,164 @@ mod tests {
         });
         set_threads(0);
         assert_eq!(out, (0..97).map(|v| v * 2).collect::<Vec<_>>());
+    }
+
+    /// Runs `f` with `threads` threads and the default threshold,
+    /// restoring the defaults afterwards.
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let _g = LOCK.lock().unwrap();
+        set_threads(threads);
+        set_par_threshold(DEFAULT_PAR_THRESHOLD);
+        let out = f();
+        set_threads(0);
+        out
+    }
+
+    /// Retries `f` until its region ran part of the work on a spawned
+    /// worker: other tests in this binary may hold the budget for a
+    /// moment, but a leaked claim never comes back.
+    fn until_a_worker_runs<R>(mut f: impl FnMut() -> (bool, R)) -> R {
+        for _ in 0..200 {
+            let (forked, out) = f();
+            if forked {
+                return out;
+            }
+            thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("no region got a worker in 200 tries");
+    }
+
+    #[test]
+    fn nested_call_runs_on_the_workers_own_thread() {
+        let inner = with_threads(4, || {
+            until_a_worker_runs(|| {
+                let caller = thread::current().id();
+                // Two items claim one of the three spare workers, so
+                // budget is left that the nested calls must not take.
+                let outer = par_map_vec(&[0usize; 2], |_, _| {
+                    let me = thread::current().id();
+                    let mut m = vec![0u8; 2 * DEFAULT_PAR_THRESHOLD];
+                    let seen = std::sync::Mutex::new(Vec::new());
+                    par_row_chunks_mut(&mut m, 8, |_, _| {
+                        seen.lock().unwrap().push(thread::current().id());
+                    });
+                    (me, seen.into_inner().unwrap())
+                });
+                (outer.iter().any(|(id, _)| *id != caller), outer)
+            })
+        });
+        for (me, seen) in &inner {
+            assert_eq!(seen, &vec![*me], "nested region left its thread");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_budget() {
+        const THREADS: usize = 3;
+        let active = AtomicUsize::new(0);
+        let max_active = AtomicUsize::new(0);
+        let workers = AtomicUsize::new(0);
+        let max_workers = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        with_threads(THREADS, || {
+            let body = |caller: thread::ThreadId| {
+                start.wait();
+                par_map_vec(&[(); 12], |_, ()| {
+                    let is_worker = thread::current().id() != caller;
+                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                    max_active.fetch_max(now, Ordering::SeqCst);
+                    if is_worker {
+                        let now = workers.fetch_add(1, Ordering::SeqCst) + 1;
+                        max_workers.fetch_max(now, Ordering::SeqCst);
+                    }
+                    // Holds the thread in the closure so callers and
+                    // workers overlap; the bounds below hold for any
+                    // interleaving.
+                    thread::sleep(std::time::Duration::from_millis(2));
+                    if is_worker {
+                        workers.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    active.fetch_sub(1, Ordering::SeqCst);
+                });
+            };
+            thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| body(thread::current().id()));
+                }
+            });
+        });
+        // Spawned workers never exceed the budget of THREADS - 1, so
+        // the two callers plus their workers stay within THREADS + 1
+        // (per-call spawning reached 2 x THREADS here).
+        assert!(max_workers.load(Ordering::SeqCst) < THREADS);
+        assert!(max_active.load(Ordering::SeqCst) <= THREADS + 1);
+    }
+
+    #[test]
+    fn panics_keep_their_payload_and_return_the_budget() {
+        with_threads(2, || {
+            // Item 0 panics on the caller's part, item 7 on the worker's.
+            for bad in [0usize, 7] {
+                let payload = until_a_worker_runs(|| {
+                    let caller = thread::current().id();
+                    let forked = AtomicUsize::new(0);
+                    let caught = std::panic::catch_unwind(|| {
+                        par_map_vec(&[0usize; 8], |i, _| {
+                            if thread::current().id() != caller {
+                                forked.fetch_add(1, Ordering::SeqCst);
+                            }
+                            if i == bad {
+                                std::panic::panic_any(format!("boom {i}"));
+                            }
+                        })
+                    });
+                    (forked.load(Ordering::SeqCst) > 0, caught)
+                })
+                .expect_err("the closure panicked");
+                assert_eq!(
+                    payload.downcast_ref::<String>(),
+                    Some(&format!("boom {bad}"))
+                );
+                assert!(!IN_REGION.with(Cell::get), "region mark leaked");
+            }
+            // With one spare worker, a claim kept by a panicked region
+            // would leave every later region inline.
+            until_a_worker_runs(|| {
+                let caller = thread::current().id();
+                let ids = par_map_vec(&[0usize; 8], |_, _| thread::current().id());
+                (ids.iter().any(|id| *id != caller), ())
+            });
+        });
+    }
+
+    #[test]
+    fn spans_opened_in_workers_keep_the_callers_path() {
+        let (spawned, stray) = with_threads(2, || {
+            ppdl_obs::set_enabled(true);
+            let spawned = ppdl_obs::global().counter("parallel/spawned");
+            let before = spawned.get();
+            until_a_worker_runs(|| {
+                let caller = thread::current().id();
+                let _outer = ppdl_obs::span("fork_outer");
+                let ids = par_map_vec(&[0usize; 4], |_, _| {
+                    let _inner = ppdl_obs::span("fork_inner");
+                    thread::current().id()
+                });
+                (ids.iter().any(|id| *id != caller), ())
+            });
+            ppdl_obs::set_enabled(false);
+            (
+                spawned.get() - before,
+                ppdl_obs::global().span_stats("fork_inner"),
+            )
+        });
+        assert!(spawned >= 1, "parallel/spawned did not count the worker");
+        assert!(
+            ppdl_obs::global()
+                .span_stats("fork_outer/fork_inner")
+                .is_some(),
+            "the caller's span recorded no nested path"
+        );
+        assert!(stray.is_none(), "a worker span lost its parent path");
     }
 }

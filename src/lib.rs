@@ -34,8 +34,9 @@
 //!
 //! Every hot path — sparse matrix–vector products, the CG vector
 //! kernels, minibatch training, per-scenario vectored solves, and γ
-//! perturbation sweeps — runs on the workspace-wide thread pool
-//! configured through [`parallel`] (re-exported from the solver crate).
+//! perturbation sweeps — runs on the workspace-wide parallel layer
+//! configured through [`parallel`] (re-exported from the solver crate),
+//! one level deep under one process-wide thread budget.
 //! The thread count defaults to the machine's parallelism, can be
 //! pinned with the `PPDL_THREADS` environment variable or
 //! [`parallel::set_threads`], and results are **bitwise identical at
